@@ -32,7 +32,8 @@ test:
 race:
 	$(GO) test -race -count=2 -timeout 20m \
 		./internal/coord/ ./internal/pipeline/ ./internal/fleetobs/ \
-		./internal/cloudapi/ ./internal/ops/
+		./internal/cloudapi/ ./internal/ops/ \
+		./internal/netsim/ ./internal/faults/
 	$(GO) test -race -timeout 40m ./...
 
 # Short native-fuzzing smoke over the parser surfaces (what the CI

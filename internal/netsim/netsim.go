@@ -9,16 +9,18 @@
 //   - a small per-probe transient loss makes a first probe fail where
 //     a retry would succeed (the §4 retry experiment),
 //   - open web ports serve real HTTP — and real TLS on 443 — over
-//     in-memory connections, with content from the cloud simulator.
+//     buffered in-memory connections, with content from the cloud
+//     simulator.
 //
 // The scanner and fetcher consume the network through the Dialer
 // interface, exactly as they would plug a custom DialContext into
-// net.Dialer / http.Transport; swapping in a real dialer (see
-// Loopback in this package) changes nothing else.
+// net.Dialer / http.Transport; swapping in a real dialer changes
+// nothing else.
 package netsim
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -31,6 +33,8 @@ import (
 	"math/big"
 	"net"
 	"net/http"
+	"net/textproto"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,7 +101,9 @@ type Network struct {
 	mu       sync.Mutex
 	attempts map[attemptKey]int
 
-	recordProbes  bool
+	// recordProbes gates the per-IP accounting below; the maps are
+	// guarded by mu, which the hot path takes only when it is on.
+	recordProbes  atomic.Bool
 	probeCounts   map[int]map[ipaddr.Addr]int // day -> ip -> probes
 	requestCounts map[int]map[ipaddr.Addr]int // day -> ip -> HTTP requests
 
@@ -169,11 +175,11 @@ func (n *Network) Stats() *Stats { return &n.stats }
 func (n *Network) RecordProbes(on bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.recordProbes = on
 	if on && n.probeCounts == nil {
 		n.probeCounts = make(map[int]map[ipaddr.Addr]int)
 		n.requestCounts = make(map[int]map[ipaddr.Addr]int)
 	}
+	n.recordProbes.Store(on)
 }
 
 // ProbeCount reports how many dials an IP received on a day (only
@@ -194,15 +200,20 @@ func (n *Network) RequestCount(day int, ip ipaddr.Addr) int {
 
 // countRequest records one HTTP request when accounting is on.
 func (n *Network) countRequest(day int, ip ipaddr.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.recordProbes {
+	if !n.recordProbes.Load() {
 		return
 	}
-	if n.requestCounts[day] == nil {
-		n.requestCounts[day] = make(map[ipaddr.Addr]int)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	bump(n.requestCounts, day, ip)
+}
+
+// bump adds one to counts[day][ip]; the caller holds n.mu.
+func bump(counts map[int]map[ipaddr.Addr]int, day int, ip ipaddr.Addr) {
+	if counts[day] == nil {
+		counts[day] = make(map[ipaddr.Addr]int)
 	}
-	n.requestCounts[day][ip]++
+	counts[day][ip]++
 }
 
 // DialContext implements Dialer against the simulated cloud.
@@ -225,12 +236,9 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	n.stats.Dials.Add(1)
 	day := n.Day()
 
-	if n.recordProbes {
+	if n.recordProbes.Load() {
 		n.mu.Lock()
-		if n.probeCounts[day] == nil {
-			n.probeCounts[day] = make(map[ipaddr.Addr]int)
-		}
-		n.probeCounts[day][ip]++
+		bump(n.probeCounts, day, ip)
 		n.mu.Unlock()
 	}
 
@@ -258,16 +266,15 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	}
 
 	n.stats.Accepted.Add(1)
-	client, server := net.Pipe()
-	switch port {
-	case 80:
-		go n.serveHTTP(server, ip, false)
-	case 443:
-		go n.serveHTTP(server, ip, true)
-	default: // 22: answer with an SSH banner then close on input.
-		go serveSSHBanner(server)
+	p := newMemPair()
+	if port == 22 {
+		// Answer with an SSH banner then close on input.
+		go serveSSHBanner(&p.ends[1])
+	} else {
+		// 80 and 443: serveHTTP starts on the client's first Write.
+		p.web, p.webIP, p.webTLS = n, ip, port == 443
 	}
-	return client, nil
+	return &p.ends[0], nil
 }
 
 // lossDrop decides whether this attempt is transiently lost. Loss is
@@ -313,7 +320,9 @@ func serveSSHBanner(c net.Conn) {
 // content for the network's *current* day — a keep-alive connection
 // held across SetDay serves fresh content, like a long-lived server
 // would. On 443 the connection is wrapped in TLS with a self-signed
-// certificate, as most 2013 cloud HTTPS endpoints were.
+// certificate, as most 2013 cloud HTTPS endpoints were. A GET's
+// response is encoded by appendResponse and sent with one Write; any
+// other method goes through http.Response.Write.
 func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 	defer c.Close()
 	if useTLS {
@@ -324,86 +333,193 @@ func (n *Network) serveHTTP(c net.Conn, ip ipaddr.Addr, useTLS bool) {
 		n.stats.TLSConns.Add(1)
 		c = tc
 	}
-	br := bufio.NewReader(c)
+	sb := serveBufPool.Get().(*serveBufs)
+	defer sb.release()
+	sb.br.Reset(c)
 	for {
-		req, err := http.ReadRequest(br)
+		req, err := http.ReadRequest(sb.br)
 		if err != nil {
 			return
 		}
 		n.stats.Requests.Add(1)
 		day := n.Day()
 		n.countRequest(day, ip)
-		resp := n.respond(day, ip, req)
-		if resp == nil {
+		pg, ok := n.route(day, ip, req.URL.Path)
+		if !ok {
 			// Application-layer failure: the backend dies mid-request,
 			// like the transient failures WhoWas observed — the client
 			// sees a reset, and the IP counts as unavailable.
 			return
 		}
-		if err := resp.Write(c); err != nil {
-			return
+		if req.Method == http.MethodGet {
+			sb.out = appendResponse(sb.out[:0], req, pg)
+			_, err = c.Write(sb.out)
+		} else {
+			err = plainResponse(req, pg).Write(c)
 		}
-		if req.Close || resp.Close {
+		if err != nil || req.Close {
 			return
 		}
 	}
+}
+
+// serveBufs is one served connection's scratch space, pooled across
+// connections: the request reader and the response being encoded.
+type serveBufs struct {
+	br  *bufio.Reader
+	out []byte
+}
+
+var serveBufPool = sync.Pool{New: func() any {
+	return &serveBufs{br: bufio.NewReader(nil)}
+}}
+
+// release drops the connection and returns sb to the pool.
+func (sb *serveBufs) release() {
+	sb.br.Reset(nil)
+	if cap(sb.out) > maxPooledBuf {
+		sb.out = nil
+	}
+	serveBufPool.Put(sb)
 }
 
 // notFoundPage is the body every simulated server returns for an
-// unknown path (netsim and loopback serving share it).
+// unknown path.
 const notFoundPage = "<html><head><title>404 Not Found</title></head><body><h1>Not Found</h1></body></html>\n"
 
-// respond builds the HTTP response for a request to ip on the given
-// day.
-func (n *Network) respond(day int, ip ipaddr.Addr, req *http.Request) *http.Response {
-	profile, revision, ok := n.cloud.PageOn(day, ip)
-	if !ok {
-		// Port open but the application layer is failing today: no
-		// HTTP response at all (nil -> connection closed).
-		return nil
-	}
-	path := req.URL.Path
-	switch {
-	case path == "/robots.txt":
-		return plainResponse(req, 200, "text/plain", profile.RobotsTxt(), nil)
-	case path == "/" || path == "":
-		body := profile.RenderPage(revision)
-		headers := profile.Headers(revision)
-		return plainResponse(req, profile.StatusCode, "", body, headers)
-	default:
-		if body := profile.RenderSubpage(path, revision); body != "" {
-			return plainResponse(req, 200, "text/html", body,
-				map[string]string{"Server": profile.Server})
-		}
-		return plainResponse(req, 404, "text/html", notFoundPage,
-			map[string]string{"Server": profile.Server})
-	}
+// page is a routed response before encoding. When headers carries a
+// Content-Type it wins over ctype; an empty ctype means HTML.
+type page struct {
+	status  int
+	ctype   string
+	body    string
+	headers map[string]string
 }
 
-// plainResponse assembles an *http.Response. When headers carries a
-// Content-Type it wins over ctype.
-func plainResponse(req *http.Request, status int, ctype, body string, headers map[string]string) *http.Response {
+// defaultType is the Content-Type sent when headers carries none.
+func (pg page) defaultType() string {
+	if pg.ctype == "" {
+		return "text/html; charset=utf-8"
+	}
+	return pg.ctype
+}
+
+// route picks the response to a request for path on ip on the given
+// day. ok is false when the port is open but the application layer is
+// failing that day: no HTTP response at all, the connection closes.
+func (n *Network) route(day int, ip ipaddr.Addr, path string) (pg page, ok bool) {
+	profile, revision, ok := n.cloud.PageOn(day, ip)
+	if !ok {
+		return page{}, false
+	}
+	switch {
+	case path == "/robots.txt":
+		return page{status: 200, ctype: "text/plain", body: profile.RobotsTxt()}, true
+	case path == "/" || path == "":
+		return page{status: profile.StatusCode, body: profile.RenderPage(revision),
+			headers: profile.Headers(revision)}, true
+	}
+	server := map[string]string{"Server": profile.Server}
+	if body := profile.RenderSubpage(path, revision); body != "" {
+		return page{status: 200, ctype: "text/html", body: body, headers: server}, true
+	}
+	return page{status: 404, ctype: "text/html", body: notFoundPage, headers: server}, true
+}
+
+// plainResponse assembles the *http.Response for pg.
+func plainResponse(req *http.Request, pg page) *http.Response {
 	h := http.Header{}
-	for k, v := range headers {
+	for k, v := range pg.headers {
 		h.Set(k, v)
 	}
 	if h.Get("Content-Type") == "" {
-		if ctype == "" {
-			ctype = "text/html; charset=utf-8"
-		}
-		h.Set("Content-Type", ctype)
+		h.Set("Content-Type", pg.defaultType())
 	}
 	return &http.Response{
-		StatusCode:    status,
-		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
+		StatusCode:    pg.status,
+		Status:        fmt.Sprintf("%d %s", pg.status, http.StatusText(pg.status)),
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        h,
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
+		Body:          io.NopCloser(strings.NewReader(pg.body)),
+		ContentLength: int64(len(pg.body)),
 		Request:       req,
 	}
+}
+
+// headerField is one header line of an encoded response.
+type headerField struct{ key, value string }
+
+// appendResponse appends to dst the response to the GET req for pg:
+// the bytes plainResponse(req, pg).Write produces — status line,
+// Content-Length, the headers in sorted key order, a blank line, the
+// body — built without an http.Response. A page the direct encoding
+// does not cover (an empty body, an out-of-range status, a header that
+// http.Header would canonicalise, drop or clean) is encoded by
+// plainResponse itself, so the bytes match by construction.
+func appendResponse(dst []byte, req *http.Request, pg page) []byte {
+	ctype := pg.defaultType()
+	var fieldsBuf [8]headerField
+	fields := fieldsBuf[:0]
+	direct := pg.body != "" && pg.status >= 100 && pg.status <= 999
+	for k, v := range pg.headers {
+		if !direct {
+			break
+		}
+		switch {
+		case !plainHeader(k, v):
+			direct = false
+		case k == "Content-Type":
+			if v != "" {
+				ctype = v
+			}
+		default:
+			fields = append(fields, headerField{k, v})
+		}
+	}
+	if !direct || !plainHeader("Content-Type", ctype) {
+		b := bytes.NewBuffer(dst)
+		// Writing to a bytes.Buffer from a strings.Reader body cannot
+		// fail.
+		_ = plainResponse(req, pg).Write(b)
+		return b.Bytes()
+	}
+	fields = append(fields, headerField{"Content-Type", ctype})
+	slices.SortFunc(fields, func(a, b headerField) int { return strings.Compare(a.key, b.key) })
+
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(pg.status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, http.StatusText(pg.status)...)
+	dst = append(dst, "\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(pg.body)), 10)
+	dst = append(dst, "\r\n"...)
+	for _, f := range fields {
+		dst = append(dst, f.key...)
+		dst = append(dst, ": "...)
+		dst = append(dst, f.value...)
+		dst = append(dst, "\r\n"...)
+	}
+	dst = append(dst, "\r\n"...)
+	return append(dst, pg.body...)
+}
+
+// plainHeader reports whether http.Header would store and write k: v
+// unchanged: k is already canonical, made of letters, digits and '-',
+// and not one of the framing headers Response.Write computes itself;
+// v has no line breaks and no surrounding blanks.
+func plainHeader(k, v string) bool {
+	if k == "" || http.CanonicalHeaderKey(k) != k ||
+		k == "Content-Length" || k == "Transfer-Encoding" || k == "Trailer" {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; c != '-' && !('0' <= c && c <= '9') && !('a' <= c && c <= 'z') && !('A' <= c && c <= 'Z') {
+			return false
+		}
+	}
+	return !strings.ContainsAny(v, "\r\n") && textproto.TrimString(v) == v
 }
 
 // selfSignedTLS builds a TLS config with a fresh ECDSA P-256

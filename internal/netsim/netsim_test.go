@@ -4,16 +4,15 @@ import (
 	"context"
 	"crypto/tls"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"whowas/internal/cloudsim"
 	"whowas/internal/ipaddr"
-	"whowas/internal/websim"
 )
 
 func testNetwork(t testing.TB) (*Network, *cloudsim.Cloud) {
@@ -322,6 +321,62 @@ func TestProbeRecording(t *testing.T) {
 	}
 }
 
+// TestRecordProbesToggleUnderLoad flips accounting on and off while
+// dials and HTTP requests run; under -race it proves the flag and the
+// counters are synchronised with the serving path.
+func TestRecordProbesToggleUnderLoad(t *testing.T) {
+	n, cloud := testNetwork(t)
+	n.LossPerMille = 0
+	ip := findWebIP(t, cloud, 80)
+	client := &http.Client{Transport: &http.Transport{DialContext: n.DialContext, DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := client.Get("http://" + ip.String() + "/robots.txt")
+				if err != nil {
+					t.Errorf("GET: %v", err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				_ = n.ProbeCount(0, ip)
+				_ = n.RequestCount(0, ip)
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; n.Stats().Requests.Load() < 100 && time.Now().Before(deadline); i++ {
+		n.RecordProbes(i%2 == 0)
+		time.Sleep(100 * time.Microsecond)
+	}
+	n.RecordProbes(true)
+	close(stop)
+	wg.Wait()
+
+	// With accounting left on, one more exchange is counted exactly.
+	probes, requests := n.ProbeCount(0, ip), n.RequestCount(0, ip)
+	resp, err := client.Get("http://" + ip.String() + "/robots.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := n.ProbeCount(0, ip); got != probes+1 {
+		t.Errorf("ProbeCount = %d, want %d", got, probes+1)
+	}
+	if got := n.RequestCount(0, ip); got != requests+1 {
+		t.Errorf("RequestCount = %d, want %d", got, requests+1)
+	}
+}
+
 func TestDialRejectsBadInput(t *testing.T) {
 	n, _ := testNetwork(t)
 	cases := []struct{ network, addr string }{
@@ -344,41 +399,6 @@ func TestCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := n.DialContext(ctx, "tcp", ip.String()+":80"); err == nil {
 		t.Error("dial with cancelled context succeeded")
-	}
-}
-
-func TestLoopbackRealTCP(t *testing.T) {
-	lb := NewLoopback()
-	defer lb.Close()
-	profile := websim.GenProfile(rand.New(rand.NewSource(1)), 1, websim.EC2Like, websim.CategoryBlog)
-	profile.StatusCode = 200
-	profile.ContentType = "text/html"
-	profile.DefaultPage = false
-	profile.MultiVhost = false
-	ip := ipaddr.MustParseAddr("54.1.2.3")
-	if err := lb.ServeProfile(ip, 80, profile, 0); err != nil {
-		t.Fatal(err)
-	}
-	client := &http.Client{Transport: &http.Transport{DialContext: lb.DialContext}, Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + ip.String() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), profile.Title) {
-		t.Errorf("loopback body missing title %q", profile.Title)
-	}
-	// Unrouted IP: dial must honor the context deadline (real timeout).
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = lb.DialContext(ctx, "tcp", "54.9.9.9:80")
-	if err == nil {
-		t.Fatal("unrouted dial succeeded")
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("unrouted dial returned after %v, want to block until deadline", elapsed)
 	}
 }
 
